@@ -271,6 +271,25 @@ func BenchmarkCompilePipeline(b *testing.B) {
 	}
 }
 
+// BenchmarkDigestRun measures one oracle digest of the compiled m88ksim
+// with the default CRB attached — the kernel of every verification-sweep
+// cell. The run is traced, so it exercises the careful tier's event path.
+func BenchmarkDigestRun(b *testing.B) {
+	w := workloads.Load("m88ksim", workloads.Tiny)
+	opts := core.DefaultOptions()
+	cr, err := core.Compile(w.Prog, w.Train, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.DigestRun(cr.Prog, &opts.CRB, w.Train, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkCRBLookup measures the hardware model's lookup path.
 func BenchmarkCRBLookup(b *testing.B) {
 	c := crb.New(crb.Config{Entries: 128, Instances: 8}, nil)

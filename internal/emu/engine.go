@@ -91,19 +91,25 @@ func (m *Machine) popFFrame() {
 	m.fframes = m.fframes[:len(m.fframes)-1]
 }
 
-// emitFlat builds the trace event for the instruction at flat PC pc of df.
-// regs is the register file the event exposes (the callee's for Call, the
-// executing frame's otherwise).
+// emitFlat fills the trace event for the instruction at flat PC pc of df
+// and hands it to trace. regs is the register file the event exposes (the
+// callee's for Call, the executing frame's otherwise).
+//
+// The machine's single Event is updated field by field: assigning an
+// Event literal would zero and copy the whole struct on every traced
+// instruction. Every field is written, the reuse facts as zero, so no
+// value from an earlier emission leaks into this one. The Reuse case of
+// runFast fills the event the same way.
 func (m *Machine) emitFlat(trace Tracer, df *ir.DecodedFunc, pc int, in *ir.PInstr, mt *ir.PMeta,
 	v1, v2, addr, result int64, taken bool, tpc int64, regs []int64) {
 	ev := &m.ev
-	*ev = Event{
-		Func: df.Fn, Block: mt.Block, Index: int(mt.Index), Instr: mt.Src,
-		PC:   df.Addr(int32(pc)),
-		Regs: regs,
-		Val1: v1, Val2: v2, Addr: addr, Result: result,
-		Taken: taken, TargetPC: tpc,
-	}
+	ev.Func, ev.Block, ev.Index, ev.Instr = df.Fn, mt.Block, int(mt.Index), mt.Src
+	ev.PC = df.Addr(int32(pc))
+	ev.Regs = regs
+	ev.Val1, ev.Val2, ev.Addr, ev.Result = v1, v2, addr, result
+	ev.Taken, ev.TargetPC = taken, tpc
+	ev.ReuseHit, ev.ReuseIn, ev.ReuseOut, ev.ReusedInstrs = false, 0, 0, 0
+	ev.InvalCount = 0
 	if in.Op == ir.Inval {
 		ev.InvalCount = m.lastInval
 	}
@@ -995,15 +1001,16 @@ outer:
 					if !hit {
 						tpc = df.Addr(int32(pc + 1))
 					}
+					// Every field written, as in emitFlat.
 					mt := &meta[pc]
 					ev := &m.ev
-					*ev = Event{
-						Func: df.Fn, Block: mt.Block, Index: int(mt.Index), Instr: mt.Src,
-						PC:   df.Addr(int32(pc)),
-						Regs: regs,
-						Taken: hit, TargetPC: tpc,
-						ReuseHit: hit, ReuseIn: rin, ReuseOut: rout, ReusedInstrs: reused,
-					}
+					ev.Func, ev.Block, ev.Index, ev.Instr = df.Fn, mt.Block, int(mt.Index), mt.Src
+					ev.PC = df.Addr(int32(pc))
+					ev.Regs = regs
+					ev.Val1, ev.Val2, ev.Addr, ev.Result = 0, 0, 0, 0
+					ev.Taken, ev.TargetPC = hit, tpc
+					ev.ReuseHit, ev.ReuseIn, ev.ReuseOut, ev.ReusedInstrs = hit, rin, rout, reused
+					ev.InvalCount = 0
 					trace(ev)
 				}
 				pc = nextPC

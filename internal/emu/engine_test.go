@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ccr/internal/ir"
+	"ccr/internal/workloads"
 )
 
 // interpOf returns a machine forced onto the legacy block-structured
@@ -36,6 +37,35 @@ func TestRunAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Reset+Run allocates %v times per run, want 0", allocs)
+	}
+}
+
+// TestRunAllocsTraced extends the guarantee to the careful tier, the path
+// every profiling, timing and digest run takes: with a no-op tracer
+// attached, steady-state Reset+Run still performs zero heap allocations
+// (the single Event is filled in place, never rebuilt or escaped).
+func TestRunAllocsTraced(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-instrumented runtime allocates outside the engine's control")
+	}
+	w := workloads.Load("m88ksim", workloads.Tiny)
+	m := New(w.Prog)
+	var events int64
+	m.Trace = func(*Event) { events++ }
+	if _, err := m.Run(w.Train...); err != nil {
+		t.Fatal(err)
+	}
+	if events == 0 {
+		t.Fatal("warm-up run traced no events — the alloc check is vacuous")
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		m.Reset()
+		if _, err := m.Run(w.Train...); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("traced Reset+Run allocates %v times per run, want 0", allocs)
 	}
 }
 
@@ -187,7 +217,7 @@ func TestEngineLoadFaultParity(t *testing.T) {
 	f := pb.Func("main", 0)
 	b := f.NewBlock()
 	a, v, w := f.NewReg(), f.NewReg(), f.NewReg()
-	b.MovI(a, 1 << 40) // far out of range
+	b.MovI(a, 1<<40) // far out of range
 	b.Ld(v, a, 0, ir.NoMem)
 	b.Add(w, v, v) // pre-charged but never executed
 	b.Ret(w)
