@@ -51,8 +51,8 @@ type Digest struct {
 	// function-level reuse hits synthesized in); RetCount its length.
 	// RetsExact is false when a function-level hit skipped a callee that
 	// itself makes calls, making the synthesized stream an undercount.
-	Rets     uint64
-	RetCount int64
+	Rets      uint64
+	RetCount  int64
 	RetsExact bool
 	// Trace is the full per-instruction checksum and DynInstrs the traced
 	// instruction count — identity components, not reuse-invariant.
