@@ -152,36 +152,12 @@ func BenchmarkSuiteParallel(b *testing.B) {
 // BenchmarkMachineRun measures the steady-state cost of the emulator hot
 // loop alone: one Machine is built up front and Reset+Run between
 // iterations, so per-iteration cost is pure instruction interpretation —
-// no construction, no tracer, no CRB. This is the microbenchmark the
-// BENCH_emu.json regression gate tracks (scripts/bench.sh); with no tracer
-// it must report 0 allocs/op.
+// no construction, no tracer, no CRB: the batch tier with superinstruction
+// fusion. This is the microbenchmark the BENCH_emu.json regression gate
+// tracks (scripts/bench.sh); with no tracer it must report 0 allocs/op.
 func BenchmarkMachineRun(b *testing.B) {
 	w := workloads.Load("m88ksim", workloads.Tiny)
 	m := emu.New(w.Prog)
-	if _, err := m.Run(w.Train...); err != nil {
-		b.Fatal(err)
-	}
-	dyn := m.Stats.DynInstrs
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Reset()
-		if _, err := m.Run(w.Train...); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(dyn), "instrs/run")
-}
-
-// BenchmarkMachineRunFused is BenchmarkMachineRun with the specialization
-// tier disabled (NoSpec): the generic batch tier with superinstruction
-// fusion only. The gap between this and MachineRun is what hot-region
-// specialization buys; the gap to the PR 5 record is what pair fusion
-// buys. Gated for 0 allocs/op like MachineRun.
-func BenchmarkMachineRunFused(b *testing.B) {
-	w := workloads.Load("m88ksim", workloads.Tiny)
-	m := emu.New(w.Prog)
-	m.NoSpec = true
 	if _, err := m.Run(w.Train...); err != nil {
 		b.Fatal(err)
 	}

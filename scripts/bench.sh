@@ -26,7 +26,7 @@ cd "$(dirname "$0")/.."
 
 MODE="${1:-check}"
 COUNT="${COUNT:-6}"
-BENCH="${BENCH:-MachineRun$|MachineRunFused$|MachineRunCCR$|MachineRunDTM$|Emulator$|CRBLookup$|DTMLookup$|TelemetrySink$|CompilePipeline$|TimingSimulation$|DigestRun$}"
+BENCH="${BENCH:-MachineRun$|MachineRunCCR$|MachineRunDTM$|Emulator$|CRBLookup$|DTMLookup$|TelemetrySink$|CompilePipeline$|TimingSimulation$|DigestRun$}"
 GATE="${GATE:-25}"
 MINSPEEDUP="${MINSPEEDUP:-1.5}"
 
