@@ -12,7 +12,9 @@
 //	                           -gate percent over its "current" entry, or
 //	                           if MachineRun is less than -minspeedup times
 //	                           faster than its "baseline" entry, or if
-//	                           MachineRun allocates.
+//	                           MachineRun allocates. It first prints the
+//	                           record's CPU next to the host's and marks a
+//	                           mismatch, which no gate depends on.
 //
 // scripts/bench.sh is the intended driver; see EXPERIMENTS.md for how to
 // read the file.
@@ -83,7 +85,7 @@ func main() {
 		}
 		doUpdate(*jsonPath, *update, run, env, *commit, *note)
 	case *check:
-		doCheck(*jsonPath, run, *gatePct, *minSpeedup)
+		doCheck(*jsonPath, run, env["cpu"], *gatePct, *minSpeedup)
 	default:
 		report(run)
 	}
@@ -253,10 +255,29 @@ func doUpdate(path, section string, run map[string][]sample, env map[string]stri
 	fmt.Printf("ccrbench: wrote %d benchmarks into %s section %q\n", len(run), path, section)
 }
 
-func doCheck(path string, run map[string][]sample, gatePct, minSpeedup float64) {
+// hostLine reports which CPU the record was measured on next to the CPU
+// of the run being gated. ns/op compares only on like hardware, so a
+// mismatch is marked: a pass or fail may then come from host speed
+// rather than from the code. It is a report only; no gate depends on it.
+func hostLine(recordCPU, hostCPU string) string {
+	unknown := func(s string) string {
+		if s == "" {
+			return "unknown"
+		}
+		return s
+	}
+	mark := "same"
+	if recordCPU != hostCPU {
+		mark = "DIFFERENT: timings compare across hosts"
+	}
+	return fmt.Sprintf("cpu: record %q, host %q (%s)", unknown(recordCPU), unknown(hostCPU), mark)
+}
+
+func doCheck(path string, run map[string][]sample, hostCPU string, gatePct, minSpeedup float64) {
 	f := load(path)
 	got := reduce(run)
 	failed := false
+	fmt.Println(hostLine(f.CPU, hostCPU))
 
 	// Regression gate: nothing may be more than gatePct slower than the
 	// committed "current" record. A record that doesn't say which commit
@@ -303,13 +324,10 @@ func doCheck(path string, run map[string][]sample, gatePct, minSpeedup float64) 
 
 	// The batch tier must stay allocation-free with the trace-memoization
 	// buffer attached (DTM lookup, recording and invalidation all work out
-	// of preallocated entry storage), and likewise with the specialization
-	// tier disabled (generic fused batch execution).
-	for _, name := range []string{"MachineRunDTM", "MachineRunFused"} {
-		if g, ok := got[name]; ok && g.AllocsPerOp != 0 {
-			fmt.Printf("%s allocs/op: %v, want 0 FAIL\n", name, g.AllocsPerOp)
-			failed = true
-		}
+	// of preallocated entry storage).
+	if g, ok := got["MachineRunDTM"]; ok && g.AllocsPerOp != 0 {
+		fmt.Printf("MachineRunDTM allocs/op: %v, want 0 FAIL\n", g.AllocsPerOp)
+		failed = true
 	}
 
 	if failed {
